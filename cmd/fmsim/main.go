@@ -187,7 +187,10 @@ func replayObserved(g *fm.Graph, sched fm.Schedule, tgt fm.Target, cost fm.Cost,
 	fn, mapping string, n, p int, render, critpath bool, metricsOut string) error {
 	reg := obs.New()
 	rtr := trace.New()
-	m := replay.ObservedMachineFor(tgt, nil, rtr, reg)
+	m, err := replay.ObservedMachineFor(tgt, nil, rtr, reg)
+	if err != nil {
+		return err
+	}
 	met, err := replay.Run(g, sched, tgt, m)
 	if err != nil {
 		return err
@@ -245,15 +248,23 @@ func replayObserved(g *fm.Graph, sched fm.Schedule, tgt fm.Target, cost fm.Cost,
 // replayFaulted runs the mapping twice on the machine simulator — once
 // ideal, once with the injector — and prints the degradation.
 func replayFaulted(g *fm.Graph, sched fm.Schedule, tgt fm.Target, rate float64, seed int64) error {
-	base, err := replay.Run(g, sched, tgt, replay.MachineFor(tgt, nil, nil))
-	if err != nil {
-		return err
-	}
 	inj, err := fault.New(fault.Config{Seed: seed, Rate: rate})
 	if err != nil {
 		return err
 	}
-	got, err := replay.Run(g, sched, tgt, replay.MachineFor(tgt, inj, nil))
+	ideal, err := replay.MachineFor(tgt, nil, nil)
+	if err != nil {
+		return err
+	}
+	faulted, err := replay.MachineFor(tgt, inj, nil)
+	if err != nil {
+		return err
+	}
+	base, err := replay.Run(g, sched, tgt, ideal)
+	if err != nil {
+		return err
+	}
+	got, err := replay.Run(g, sched, tgt, faulted)
 	if err != nil {
 		return err
 	}

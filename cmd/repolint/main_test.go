@@ -47,8 +47,8 @@ func TestRepolintSinglePackage(t *testing.T) {
 
 // TestRepolintServePackage runs the full suite over the serving layer —
 // a determinism-critical package (see lint.Determinism's criticalPkgs)
-// whose only wall-clock read must stay isolated behind the annotated
-// Clock seam, with no panics, no fmt printing, and nil-safe obs use.
+// that reads time only through internal/clock, with no panics, no fmt
+// printing, and nil-safe obs use.
 func TestRepolintServePackage(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"./internal/serve"}, &out, &errOut); code != 0 {
@@ -79,8 +79,8 @@ func TestRepolintStorePackage(t *testing.T) {
 // tier — determinism-critical (routing plans, winner elections, and
 // exchange seeds must be pure functions of the request) and on the
 // request path (ctxflow: every forward and probe threads a
-// request-derived context). The router's single wall-clock read lives
-// behind the annotated Clock seam, like serve's.
+// request-derived context). Like serve, the router reads time only
+// through internal/clock.
 func TestRepolintClusterPackage(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"./internal/cluster"}, &out, &errOut); code != 0 {

@@ -43,8 +43,14 @@ func TestEndToEndEditDistancePipeline(t *testing.T) {
 	tgt := fm.DefaultTarget(5, 1)
 	tgt.Grid.PitchMM = 0.1
 	tgt.MemWordsPerNode = 1 << 20
-	stride := fm.MinAntiDiagonalStride(tgt, tech.OpAdd, 32, len(q), 5)
-	sched := fm.AntiDiagonalSchedule(dom, 5, stride, geom.Pt(0, 0))
+	stride, err := fm.MinAntiDiagonalStrideChecked(tgt, tech.OpAdd, 32, len(q), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := fm.AntiDiagonalScheduleChecked(dom, 5, stride, geom.Pt(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// 3. Legality, two independent engines.
 	if err := fm.Check(g, sched, tgt); err != nil {

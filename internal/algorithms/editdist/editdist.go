@@ -192,8 +192,14 @@ func PaperMapping(r, q []byte, p int, tgt fm.Target) (fm.Cost, error) {
 	if err != nil {
 		return fm.Cost{}, err
 	}
-	stride := fm.MinAntiDiagonalStride(tgt, tech.OpAdd, 32, len(q), p)
-	sched := fm.AntiDiagonalSchedule(dom, p, stride, geom.Pt(0, 0))
+	stride, err := fm.MinAntiDiagonalStrideChecked(tgt, tech.OpAdd, 32, len(q), p)
+	if err != nil {
+		return fm.Cost{}, err
+	}
+	sched, err := fm.AntiDiagonalScheduleChecked(dom, p, stride, geom.Pt(0, 0))
+	if err != nil {
+		return fm.Cost{}, err
+	}
 	return fm.Evaluate(g, sched, tgt, fm.EvalOptions{})
 }
 

@@ -1,17 +1,19 @@
-package cluster
+// Package clock is the repo's one time seam. The serving layer, the
+// cluster router and the flight recorder read time and arm timers only
+// through a Clock, so a Fake makes every time-dependent behavior —
+// latency accounting, Retry-After hints, hedge timers, trace timestamps
+// — deterministic under test, and a Fake frozen at the epoch makes the
+// byte-reproducibility drills possible. Results never depend on the
+// clock: time shapes telemetry, backpressure hints and when a hedge
+// fires, never what an answer is.
+package clock
 
 import (
 	"sync"
 	"time"
 )
 
-// Clock is the router's time seam. It extends the serving layer's
-// Now-only seam with one-shot timers because hedging is the first
-// feature in the repo whose *behavior* (not just telemetry) is
-// time-triggered: the hedge fires when a timer does. Keeping the timer
-// behind the seam means a FakeClock test can prove the hedge fires at
-// exactly the configured delay — and that a frozen clock (the
-// byte-reproducibility drills) never hedges at all.
+// Clock supplies the current time and one-shot timers.
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
@@ -21,27 +23,27 @@ type Clock interface {
 	Timer(d time.Duration) (<-chan time.Time, func())
 }
 
-// SystemClock reads the real wall clock and arms real timers.
-type SystemClock struct{}
+// System reads the real wall clock and arms real timers.
+type System struct{}
 
 // Now implements Clock.
-func (SystemClock) Now() time.Time {
-	// The cluster tier's only wall-clock read; everything downstream
-	// receives time through the Clock interface.
-	//lint:allow nondeterminism(wall clock isolated behind the Clock seam; routing decisions and shard answers never depend on it)
+func (System) Now() time.Time {
+	// The repo's only wall-clock read behind the seam; everything
+	// downstream receives time through the Clock interface.
+	//lint:allow nondeterminism(wall clock isolated behind the Clock seam; results never depend on it and tests substitute Fake)
 	return time.Now()
 }
 
 // Timer implements Clock.
-func (SystemClock) Timer(d time.Duration) (<-chan time.Time, func()) {
+func (System) Timer(d time.Duration) (<-chan time.Time, func()) {
 	t := time.NewTimer(d)
 	return t.C, func() { t.Stop() }
 }
 
-// FakeClock is a manually advanced Clock for deterministic tests: Now is
+// Fake is a manually advanced Clock for deterministic tests: Now is
 // frozen until Advance, and timers fire exactly when Advance carries the
-// clock past their deadline — never earlier, never on a real-time race.
-type FakeClock struct {
+// clock to their deadline — never earlier, never on a real-time race.
+type Fake struct {
 	mu      sync.Mutex
 	t       time.Time    // guarded by mu
 	waiters []*fakeTimer // guarded by mu
@@ -53,20 +55,20 @@ type fakeTimer struct {
 	stopped bool
 }
 
-// NewFakeClock returns a fake clock frozen at start.
-func NewFakeClock(start time.Time) *FakeClock {
-	return &FakeClock{t: start}
+// NewFake returns a fake clock frozen at start.
+func NewFake(start time.Time) *Fake {
+	return &Fake{t: start}
 }
 
 // Now implements Clock.
-func (c *FakeClock) Now() time.Time {
+func (c *Fake) Now() time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.t
 }
 
 // Timer implements Clock. A non-positive delay fires immediately.
-func (c *FakeClock) Timer(d time.Duration) (<-chan time.Time, func()) {
+func (c *Fake) Timer(d time.Duration) (<-chan time.Time, func()) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ft := &fakeTimer{at: c.t.Add(d), ch: make(chan time.Time, 1)}
@@ -85,7 +87,7 @@ func (c *FakeClock) Timer(d time.Duration) (<-chan time.Time, func()) {
 
 // Advance moves the clock forward by d and fires every timer whose
 // deadline the move reached.
-func (c *FakeClock) Advance(d time.Duration) {
+func (c *Fake) Advance(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.t = c.t.Add(d)
@@ -105,7 +107,7 @@ func (c *FakeClock) Advance(d time.Duration) {
 // Waiters reports the number of armed (unfired, unstopped) timers —
 // test support for sequencing an Advance after a timer is known to be
 // registered.
-func (c *FakeClock) Waiters() int {
+func (c *Fake) Waiters() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0

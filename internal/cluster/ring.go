@@ -1,5 +1,7 @@
 package cluster
 
+import "repro/internal/splitmix"
+
 // The shard ring: rendezvous (highest-random-weight) hashing over N
 // shard indices. Rendezvous hashing was chosen over a token ring of
 // virtual nodes because both required properties fall out of the
@@ -34,7 +36,7 @@ func NewRing(n int) *Ring {
 	for i := range r.tokens {
 		// Per-shard tokens from a splitmix64 stream: well-spread inputs
 		// for the score mix below regardless of how small the indices are.
-		r.tokens[i] = mix64(uint64(i)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03)
+		r.tokens[i] = splitmix.Mix(uint64(i)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03)
 	}
 	return r
 }
@@ -42,21 +44,9 @@ func NewRing(n int) *Ring {
 // N returns the shard count.
 func (r *Ring) N() int { return r.n }
 
-// mix64 is the splitmix64 finalizer: a cheap bijective mixer whose
-// output passes uniformity tests, the same construction the tracer uses
-// for deterministic trace IDs.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
 // score is shard i's rendezvous weight for key.
 func (r *Ring) score(key uint64, i int) uint64 {
-	return mix64(key ^ r.tokens[i])
+	return splitmix.Mix(key ^ r.tokens[i])
 }
 
 // Owners returns the replica set of key: the top-`replicas` shards by

@@ -1,13 +1,17 @@
 package cluster
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/splitmix"
+)
 
 // testKeys returns nKeys well-mixed routing keys, the shape real
 // fingerprints have (fm.Fingerprint is itself an avalanche hash).
 func testKeys(n int) []uint64 {
 	keys := make([]uint64, n)
 	for i := range keys {
-		keys[i] = mix64(uint64(i) + 0x0123456789ABCDEF)
+		keys[i] = splitmix.Mix(uint64(i) + 0x0123456789ABCDEF)
 	}
 	return keys
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -70,7 +71,7 @@ func newTestRouter(t *testing.T, shards []string, override func(*Config)) (*Rout
 		Replicas:     2,
 		HedgeDelay:   -1,
 		ProbeTimeout: time.Second,
-		Clock:        NewFakeClock(time.Unix(2000, 0)),
+		Clock:        clock.NewFake(time.Unix(2000, 0)),
 		Client:       &http.Client{Transport: htr},
 		Obs:          reg,
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -23,7 +24,7 @@ func newServeShard(t *testing.T) string {
 		EvalWorkers: 1,
 		BatchMax:    8,
 		MaxSearches: 2,
-		Clock:       serve.NewFakeClock(time.Unix(1000, 0)),
+		Clock:       clock.NewFake(time.Unix(1000, 0)),
 		Obs:         obs.New(),
 	})
 	if err != nil {

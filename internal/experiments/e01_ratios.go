@@ -16,12 +16,15 @@ import (
 func E1() Result {
 	// A 30 x 1 strip at 1 mm pitch: node 0 to node 28 is a 28 mm route,
 	// the nearest grid approximation of the 28.28 mm diagonal.
-	m := machine.New(machine.Config{
+	m, err := machine.New(machine.Config{
 		Grid:               geom.NewGrid(30, 1, 1.0),
 		Tech:               tech.N5(),
 		RouterDelayPS:      -1,
 		RouterEnergyPerBit: -1,
 	})
+	if err != nil {
+		return failure("E1", err)
+	}
 
 	measure := func(hops int) float64 {
 		m.Reset()

@@ -15,19 +15,28 @@ import (
 // stream abstraction costs four orders of magnitude.
 func E2() Result {
 	const ops = 1000
-	run := func(overhead bool) machine.Metrics {
-		m := machine.New(machine.Config{
+	run := func(overhead bool) (machine.Metrics, error) {
+		m, err := machine.New(machine.Config{
 			Grid:        geom.NewGrid(2, 2, 1.0),
 			Tech:        tech.N5(),
 			CPUOverhead: overhead,
 		})
+		if err != nil {
+			return machine.Metrics{}, err
+		}
 		for i := 0; i < ops; i++ {
 			m.Compute(geom.Pt(0, 0), tech.OpAdd, 32, "add")
 		}
-		return m.Metrics()
+		return m.Metrics(), nil
 	}
-	lean := run(false)
-	cpu := run(true)
+	lean, err := run(false)
+	if err != nil {
+		return failure("E2", err)
+	}
+	cpu, err := run(true)
+	if err != nil {
+		return failure("E2", err)
+	}
 
 	ratio := cpu.TotalEnergy / lean.TotalEnergy
 	overheadOnly := cpu.EnergyByKind[traceOverhead] / lean.TotalEnergy

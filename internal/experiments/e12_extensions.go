@@ -3,6 +3,8 @@ package experiments
 import (
 	"repro/internal/fm"
 	"repro/internal/geom"
+	"repro/internal/machine"
+	"repro/internal/noc"
 	"repro/internal/stats"
 	"repro/internal/tech"
 	"repro/internal/workspan"
@@ -64,13 +66,14 @@ func E12() Result {
 	// NoC switching ablation (A2): cut-through beats store-and-forward on
 	// multi-flit messages; the model exposes switching discipline as a
 	// first-class cost.
-	ctTgt := fm.DefaultTarget(8, 1)
-	sfGap := storeForwardGap()
+	sfGap, err := storeForwardGap()
+	if err != nil {
+		return failure("E12", err)
+	}
 	okNoC := sfGap > 1.5
 	pass = pass && okNoC
 	t.AddRow("NoC ablation (A2)", "SF/CT latency, 16-flit message, 8 hops", sfGap,
 		">1.5x", verdict(okNoC))
-	_ = ctTgt
 
 	return Result{
 		ID:    "E12",
@@ -80,20 +83,29 @@ func E12() Result {
 	}
 }
 
-func storeForwardGap() float64 {
-	ct := nocLatency(false)
-	sf := nocLatency(true)
-	return sf / ct
+func storeForwardGap() (float64, error) {
+	ct, err := nocLatency(noc.CutThrough)
+	if err != nil {
+		return 0, err
+	}
+	sf, err := nocLatency(noc.StoreAndForward)
+	if err != nil {
+		return 0, err
+	}
+	return sf / ct, nil
 }
 
-func nocLatency(storeAndForward bool) float64 {
-	// 16-flit (512-bit) message over 8 hops, measured via the machine's
-	// network. Uncontended: CT pays serialization once, SF per hop.
-	cfgMode := 0
-	if storeAndForward {
-		cfgMode = 1
+// nocLatency is the arrival time of a 16-flit (512-bit) message over 8
+// hops of a 10x1 strip machine with the given switching mode.
+// Uncontended: CT pays serialization once, SF per hop.
+func nocLatency(mode noc.Mode) (float64, error) {
+	m, err := machine.New(machine.Config{
+		Grid:    geom.NewGrid(10, 1, 1.0),
+		Tech:    tech.N5(),
+		NoCMode: mode,
+	})
+	if err != nil {
+		return 0, err
 	}
-	m := newStripMachine(cfgMode)
-	arr := m.Send(geom.Pt(0, 0), geom.Pt(8, 0), 16, "big")
-	return arr
+	return m.Send(geom.Pt(0, 0), geom.Pt(8, 0), 16, "big"), nil
 }

@@ -113,8 +113,14 @@ func E13() Result {
 	}
 	tgt := fm.DefaultTarget(4, 1)
 	tgt.MemWordsPerNode = 1 << 20
-	stride := fm.MinAntiDiagonalStride(tgt, tech.OpAdd, 32, 16, 4)
-	sched := fm.AntiDiagonalSchedule(dom, 4, stride, geom.Pt(0, 0))
+	stride, err := fm.MinAntiDiagonalStrideChecked(tgt, tech.OpAdd, 32, 16, 4)
+	if err != nil {
+		return failure("E13", err)
+	}
+	sched, err := fm.AntiDiagonalScheduleChecked(dom, 4, stride, geom.Pt(0, 0))
+	if err != nil {
+		return failure("E13", err)
+	}
 	ref := verify.Refine(g, sched, tgt)
 	okRef := ref.OK()
 	pass = pass && okRef

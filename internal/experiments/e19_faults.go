@@ -6,6 +6,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fm"
 	"repro/internal/geom"
+	"repro/internal/machine"
 	"repro/internal/replay"
 	"repro/internal/stats"
 	"repro/internal/tech"
@@ -36,7 +37,14 @@ func E19() Result {
 	tgt.Grid.PitchMM = 0.1
 	tgt.MemWordsPerNode = 1 << 20
 
-	stride := fm.MinAntiDiagonalStride(tgt, tech.OpAdd, 32, n, p)
+	stride, err := fm.MinAntiDiagonalStrideChecked(tgt, tech.OpAdd, 32, n, p)
+	if err != nil {
+		return failure("E19", err)
+	}
+	antidiag, err := fm.AntiDiagonalScheduleChecked(dom, p, stride, geom.Pt(0, 0))
+	if err != nil {
+		return failure("E19", err)
+	}
 	blockedPlace := make([]geom.Point, g.NumNodes())
 	idx := make([]int, 2)
 	for nd := range blockedPlace {
@@ -47,7 +55,7 @@ func E19() Result {
 		name  string
 		sched fm.Schedule
 	}{
-		{"antidiag", fm.AntiDiagonalSchedule(dom, p, stride, geom.Pt(0, 0))},
+		{"antidiag", antidiag},
 		{"blocked", fm.ASAPSchedule(g, blockedPlace, tgt)},
 		{"serial", fm.SerialSchedule(g, tgt, geom.Pt(0, 0))},
 	}
@@ -57,6 +65,13 @@ func E19() Result {
 		"mapping", "min slack", "rate", "makespan ps", "inflation", "faults", "retries")
 	rates := []float64{0.02, 0.05, 0.10}
 	pass := true
+	replayOn := func(sched fm.Schedule, inj *fault.Injector) (machine.Metrics, error) {
+		m, err := replay.MachineFor(tgt, inj, nil)
+		if err != nil {
+			return machine.Metrics{}, err
+		}
+		return replay.Run(g, sched, tgt, m)
+	}
 	for _, mp := range mappings {
 		if err := fm.Check(g, mp.sched, tgt); err != nil {
 			return failure("E19", fmt.Errorf("%s mapping illegal: %w", mp.name, err))
@@ -67,7 +82,7 @@ func E19() Result {
 		}
 		minSlack := fm.SummarizeSlack(edges).Min
 
-		base, err := replay.Run(g, mp.sched, tgt, replay.MachineFor(tgt, nil, nil))
+		base, err := replayOn(mp.sched, nil)
 		if err != nil {
 			return failure("E19", err)
 		}
@@ -76,7 +91,7 @@ func E19() Result {
 		if err != nil {
 			return failure("E19", err)
 		}
-		zero, err := replay.Run(g, mp.sched, tgt, replay.MachineFor(tgt, zeroInj, nil))
+		zero, err := replayOn(mp.sched, zeroInj)
 		if err != nil {
 			return failure("E19", err)
 		}
@@ -90,7 +105,7 @@ func E19() Result {
 			if err != nil {
 				return failure("E19", err)
 			}
-			got, err := replay.Run(g, mp.sched, tgt, replay.MachineFor(tgt, inj, nil))
+			got, err := replayOn(mp.sched, inj)
 			if err != nil {
 				return failure("E19", err)
 			}

@@ -36,7 +36,10 @@ func TestALAPLegalAtASAPDeadline(t *testing.T) {
 				deadline = f
 			}
 		}
-		alap := ALAPSchedule(g, place, tgt, deadline)
+		alap, err := ALAPScheduleChecked(g, place, tgt, deadline)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 		if err := Check(g, alap, tgt); err != nil {
 			t.Fatalf("seed %d: ALAP illegal: %v", seed, err)
 		}
@@ -56,7 +59,10 @@ func TestALAPRespectsDeadline(t *testing.T) {
 	tgt := DefaultTarget(2, 2)
 	g, place := randomPlacedGraph(3, 20, tgt)
 	const deadline = 10_000
-	alap := ALAPSchedule(g, place, tgt, deadline)
+	alap, err := ALAPScheduleChecked(g, place, tgt, deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for n := 0; n < g.NumNodes(); n++ {
 		if f := finishTime(g, alap, tgt, NodeID(n)); f > deadline {
 			t.Fatalf("node %d finishes at %d, past deadline %d", n, f, deadline)
@@ -69,11 +75,15 @@ func TestALAPRespectsDeadline(t *testing.T) {
 	}
 }
 
-func TestALAPInfeasibleDeadlinePanics(t *testing.T) {
+func TestALAPInfeasibleDeadlineErrors(t *testing.T) {
 	tgt := DefaultTarget(2, 2)
 	g, place := randomPlacedGraph(5, 30, tgt)
-	assertPanics(t, "tight deadline", func() { ALAPSchedule(g, place, tgt, 1) })
-	assertPanics(t, "bad placement", func() { ALAPSchedule(g, nil, tgt, 100) })
+	if _, err := ALAPScheduleChecked(g, place, tgt, 1); err == nil {
+		t.Error("tight deadline: ALAPScheduleChecked accepted it")
+	}
+	if _, err := ALAPScheduleChecked(g, nil, tgt, 100); err == nil {
+		t.Error("bad placement: ALAPScheduleChecked accepted it")
+	}
 }
 
 func TestSlack(t *testing.T) {
@@ -94,7 +104,10 @@ func TestSlack(t *testing.T) {
 		place[i] = geom.Pt(0, 0)
 	}
 	place[remote] = geom.Pt(1, 0) // 9 transit cycles each way
-	slack := Slack(g, place, tgt)
+	slack, err := Slack(g, place, tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if slack[src] != 0 || slack[remote] != 0 || slack[sink] != 0 {
 		t.Errorf("src -> remote -> sink should be critical: %v", slack)
 	}
@@ -112,7 +125,11 @@ func TestSlackNonNegativeRandom(t *testing.T) {
 	tgt := DefaultTarget(3, 3)
 	for seed := int64(20); seed < 28; seed++ {
 		g, place := randomPlacedGraph(seed, 35, tgt)
-		for n, s := range Slack(g, place, tgt) {
+		slack, err := Slack(g, place, tgt)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for n, s := range slack {
 			if s < 0 {
 				t.Fatalf("seed %d: node %d slack %d", seed, n, s)
 			}

@@ -74,8 +74,16 @@ func ExampleRecurrence() {
 
 	tgt := fm.DefaultTarget(4, 1)
 	tgt.MemWordsPerNode = 1 << 16
-	stride := fm.MinAntiDiagonalStride(tgt, tech.OpAdd, 32, 8, 4)
-	sched := fm.AntiDiagonalSchedule(dom, 4, stride, geom.Pt(0, 0))
+	stride, err := fm.MinAntiDiagonalStrideChecked(tgt, tech.OpAdd, 32, 8, 4)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	sched, err := fm.AntiDiagonalScheduleChecked(dom, 4, stride, geom.Pt(0, 0))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 
 	fmt.Printf("cells: %d, longest chain: %d\n", g.CountOps(), g.Depth())
 	fmt.Printf("legal: %v, places used: %d\n", fm.Check(g, sched, tgt) == nil, sched.PlacesUsed())

@@ -190,8 +190,8 @@ func ScheduleByIndex(dom *Domain, f func(idx []int) Assignment) Schedule {
 	return sched
 }
 
-// AntiDiagonalSchedule is the paper's mapping for a 2-D recurrence on a
-// linear array of P processors:
+// AntiDiagonalScheduleChecked is the paper's mapping for a 2-D
+// recurrence on a linear array of P processors:
 //
 //	Map H(i,j) at i % P  time floor(i/P)*N + j
 //
@@ -199,13 +199,11 @@ func ScheduleByIndex(dom *Domain, f func(idx []int) Assignment) Schedule {
 // make causality explicit in global cycles this schedule adds the
 // wavefront skew (i mod P) — processor k runs k steps behind its left
 // neighbour, which is what makes the anti-diagonals march — and scales
-// the unit step to stride target cycles (use MinAntiDiagonalStride so one
-// step covers the cell's op latency plus one hop of transit). origin
-// anchors the processor row on the grid.
-//
-// AntiDiagonalScheduleChecked validates the domain rank, processor
-// count, and stride, returning an error for malformed inputs (e.g.
-// user-supplied dimensions).
+// the unit step to stride target cycles (use MinAntiDiagonalStrideChecked
+// so one step covers the cell's op latency plus one hop of transit).
+// origin anchors the processor row on the grid. It validates the domain
+// rank, processor count, and stride, returning an error for malformed
+// inputs (e.g. user-supplied dimensions).
 func AntiDiagonalScheduleChecked(dom *Domain, p int, stride int64, origin geom.Point) (Schedule, error) {
 	if len(dom.dims) != 2 {
 		return nil, fmt.Errorf("fm: AntiDiagonalSchedule needs a 2-D domain, got rank %d", len(dom.dims))
@@ -227,27 +225,15 @@ func AntiDiagonalScheduleChecked(dom *Domain, p int, stride int64, origin geom.P
 	}), nil
 }
 
-// AntiDiagonalSchedule is AntiDiagonalScheduleChecked for callers with
-// statically known-good arguments; it panics on the errors the Checked
-// variant would return.
-func AntiDiagonalSchedule(dom *Domain, p int, stride int64, origin geom.Point) Schedule {
-	sched, err := AntiDiagonalScheduleChecked(dom, p, stride, origin)
-	if err != nil {
-		//lint:allow panic(documented convenience wrapper; AntiDiagonalScheduleChecked returns the error)
-		panic(err.Error())
-	}
-	return sched
-}
-
-// MinAntiDiagonalStride returns the smallest legal unit step for
-// AntiDiagonalSchedule on tgt for an n-column domain over p processors.
+// MinAntiDiagonalStrideChecked returns the smallest legal unit step for
+// AntiDiagonalScheduleChecked on tgt for an n-column domain over p
+// processors.
 // The binding constraints are the nearest-neighbour dependence — one step
 // must cover the cell latency plus one hop of transit — and the wrap
 // dependence from processor p-1 back to processor 0 when a row block
 // completes, which must cover p-1 hops inside the n-p+1 steps the
-// schedule allows it.
-// MinAntiDiagonalStrideChecked validates n and p, returning an error
-// for non-positive values (e.g. user-supplied sizes).
+// schedule allows it. It validates n and p, returning an error for
+// non-positive values (e.g. user-supplied sizes).
 func MinAntiDiagonalStrideChecked(tgt Target, op tech.OpClass, bits int, n, p int) (int64, error) {
 	tgt = tgt.withDefaults()
 	if n <= 0 || p <= 0 {
@@ -267,16 +253,4 @@ func MinAntiDiagonalStrideChecked(tgt Target, op tech.OpClass, bits int, n, p in
 		s = w
 	}
 	return s, nil
-}
-
-// MinAntiDiagonalStride is MinAntiDiagonalStrideChecked for callers
-// with statically known-good arguments; it panics on the errors the
-// Checked variant would return.
-func MinAntiDiagonalStride(tgt Target, op tech.OpClass, bits int, n, p int) int64 {
-	s, err := MinAntiDiagonalStrideChecked(tgt, op, bits, n, p)
-	if err != nil {
-		//lint:allow panic(documented convenience wrapper; MinAntiDiagonalStrideChecked returns the error)
-		panic(err.Error())
-	}
-	return s
 }

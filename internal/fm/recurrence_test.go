@@ -106,8 +106,8 @@ func TestAntiDiagonalLegalAcrossP(t *testing.T) {
 	}
 	for _, p := range []int{1, 2, 4, 8} {
 		tgt := DefaultTarget(p, 1)
-		stride := MinAntiDiagonalStride(tgt, tech.OpAdd, 32, n, p)
-		sched := AntiDiagonalSchedule(dom, p, stride, geom.Pt(0, 0))
+		stride := minStride(t, tgt, n, p)
+		sched := antiDiag(t, dom, p, stride)
 		if err := Check(g, sched, tgt); err != nil {
 			t.Errorf("P=%d stride=%d: %v", p, stride, err)
 		}
@@ -127,8 +127,8 @@ func TestAntiDiagonalSpeedsUpWithP(t *testing.T) {
 	for i, p := range []int{2, 4, 8} {
 		tgt := DefaultTarget(p, 1)
 		tgt.MemWordsPerNode = 1 << 20
-		stride := MinAntiDiagonalStride(tgt, tech.OpAdd, 32, n, p)
-		sched := AntiDiagonalSchedule(dom, p, stride, geom.Pt(0, 0))
+		stride := minStride(t, tgt, n, p)
+		sched := antiDiag(t, dom, p, stride)
 		c, err := Evaluate(g, sched, tgt, EvalOptions{})
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
@@ -152,8 +152,8 @@ func TestAntiDiagonalNearestNeighbourOnly(t *testing.T) {
 	p := 4
 	tgt := DefaultTarget(p, 1)
 	tgt.MemWordsPerNode = 1 << 20
-	stride := MinAntiDiagonalStride(tgt, tech.OpAdd, 32, n, p)
-	sched := AntiDiagonalSchedule(dom, p, stride, geom.Pt(0, 0))
+	stride := minStride(t, tgt, n, p)
+	sched := antiDiag(t, dom, p, stride)
 	c, err := Evaluate(g, sched, tgt, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -179,18 +179,53 @@ func TestScheduleByIndex(t *testing.T) {
 	}
 }
 
-func TestAntiDiagonalPanics(t *testing.T) {
+// minStride is MinAntiDiagonalStrideChecked for a 32-bit add cell,
+// failing the test on error.
+func minStride(t *testing.T, tgt Target, n, p int) int64 {
+	t.Helper()
+	s, err := MinAntiDiagonalStrideChecked(tgt, tech.OpAdd, 32, n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// antiDiag is AntiDiagonalScheduleChecked anchored at the grid origin,
+// failing the test on error.
+func antiDiag(t *testing.T, dom *Domain, p int, stride int64) Schedule {
+	t.Helper()
+	sched, err := AntiDiagonalScheduleChecked(dom, p, stride, geom.Pt(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sched
+}
+
+func TestAntiDiagonalErrors(t *testing.T) {
 	_, dom2, _ := editRec(3).Materialize()
-	assertPanics(t, "bad p", func() { AntiDiagonalSchedule(dom2, 0, 1, geom.Pt(0, 0)) })
-	assertPanics(t, "bad stride", func() { AntiDiagonalSchedule(dom2, 1, 0, geom.Pt(0, 0)) })
 	_, dom3, err := Recurrence{Name: "r3", Dims: []int{2, 2, 2}, Op: tech.OpAdd, Bits: 32}.Materialize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertPanics(t, "bad rank", func() { AntiDiagonalSchedule(dom3, 2, 1, geom.Pt(0, 0)) })
-	assertPanics(t, "bad stride args", func() {
-		MinAntiDiagonalStride(DefaultTarget(2, 2), tech.OpAdd, 32, 0, 2)
-	})
+	for _, c := range []struct {
+		name   string
+		dom    *Domain
+		p      int
+		stride int64
+	}{
+		{"bad p", dom2, 0, 1},
+		{"bad stride", dom2, 1, 0},
+		{"bad rank", dom3, 2, 1},
+	} {
+		if _, err := AntiDiagonalScheduleChecked(c.dom, c.p, c.stride, geom.Pt(0, 0)); err == nil {
+			t.Errorf("%s: AntiDiagonalScheduleChecked accepted it", c.name)
+		}
+	}
+	for _, np := range [][2]int{{0, 2}, {2, 0}} {
+		if _, err := MinAntiDiagonalStrideChecked(DefaultTarget(2, 2), tech.OpAdd, 32, np[0], np[1]); err == nil {
+			t.Errorf("n=%d p=%d: MinAntiDiagonalStrideChecked accepted it", np[0], np[1])
+		}
+	}
 }
 
 func TestMaterializeInvalid(t *testing.T) {

@@ -3,7 +3,6 @@ package fm
 import (
 	"testing"
 
-	"repro/internal/geom"
 	"repro/internal/tech"
 )
 
@@ -26,8 +25,8 @@ func slackFixture(t *testing.T, n, p int) (*Graph, *Domain, Target) {
 
 func TestSlackNonNegativeForLegalSchedule(t *testing.T) {
 	g, dom, tgt := slackFixture(t, 8, 4)
-	stride := MinAntiDiagonalStride(tgt, tech.OpAdd, 32, 8, 4)
-	sched := AntiDiagonalSchedule(dom, 4, stride, geom.Pt(0, 0))
+	stride := minStride(t, tgt, 8, 4)
+	sched := antiDiag(t, dom, 4, stride)
 	if err := Check(g, sched, tgt); err != nil {
 		t.Fatalf("fixture illegal: %v", err)
 	}
@@ -49,8 +48,8 @@ func TestSlackNonNegativeForLegalSchedule(t *testing.T) {
 
 func TestSlackDetectsViolatedEdge(t *testing.T) {
 	g, dom, tgt := slackFixture(t, 6, 4)
-	stride := MinAntiDiagonalStride(tgt, tech.OpAdd, 32, 6, 4)
-	sched := AntiDiagonalSchedule(dom, 4, stride, geom.Pt(0, 0))
+	stride := minStride(t, tgt, 6, 4)
+	sched := antiDiag(t, dom, 4, stride)
 	// Pull one late compute node impossibly early: slack goes negative on
 	// exactly the edges into it, matching Check's CausalityError.
 	var victim NodeID = -1
@@ -96,8 +95,8 @@ func TestSlackAbsorbsUniformDelay(t *testing.T) {
 	g, dom, tgt := slackFixture(t, 6, 4)
 	// A deliberately padded schedule: anti-diagonal with double the
 	// minimum stride, so every edge has spare cycles.
-	stride := 2 * MinAntiDiagonalStride(tgt, tech.OpAdd, 32, 6, 4)
-	sched := AntiDiagonalSchedule(dom, 4, stride, geom.Pt(0, 0))
+	stride := 2 * minStride(t, tgt, 6, 4)
+	sched := antiDiag(t, dom, 4, stride)
 	if err := Check(g, sched, tgt); err != nil {
 		t.Fatalf("padded fixture illegal: %v", err)
 	}

@@ -20,8 +20,14 @@ func antiDiagonalArch(t *testing.T, n, p int) *Architecture {
 	}
 	tgt := fm.DefaultTarget(p, 1)
 	tgt.MemWordsPerNode = 1 << 20
-	stride := fm.MinAntiDiagonalStride(tgt, tech.OpAdd, 32, n, p)
-	sched := fm.AntiDiagonalSchedule(dom, p, stride, geom.Pt(0, 0))
+	stride, err := fm.MinAntiDiagonalStrideChecked(tgt, tech.OpAdd, 32, n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := fm.AntiDiagonalScheduleChecked(dom, p, stride, geom.Pt(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	arch, err := Lower(g, sched, tgt)
 	if err != nil {
 		t.Fatal(err)

@@ -93,9 +93,9 @@ type Machine struct {
 	obsBusy   [trace.NumKinds]*obs.Gauge
 }
 
-// NewChecked returns a machine over the configured grid, validating the
+// New returns a machine over the configured grid, validating the
 // technology parameters and NoC mode up front.
-func NewChecked(cfg Config) (*Machine, error) {
+func New(cfg Config) (*Machine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Tech.Validate(); err != nil {
 		return nil, fmt.Errorf("machine: %w", err)
@@ -105,7 +105,7 @@ func NewChecked(cfg Config) (*Machine, error) {
 		energyByKind: make(map[trace.Kind]float64),
 		nodeTime:     make([]float64, cfg.Grid.Nodes()),
 	}
-	net, err := noc.NewChecked(noc.Config{
+	net, err := noc.New(noc.Config{
 		Grid:               cfg.Grid,
 		Tech:               cfg.Tech,
 		Mode:               cfg.NoCMode,
@@ -128,17 +128,6 @@ func NewChecked(cfg Config) (*Machine, error) {
 		}
 	}
 	return m, nil
-}
-
-// New is NewChecked for callers with statically known-good
-// configurations; it panics on the errors NewChecked would return.
-func New(cfg Config) *Machine {
-	m, err := NewChecked(cfg)
-	if err != nil {
-		//lint:allow panic(documented convenience wrapper; NewChecked returns the error)
-		panic(err.Error())
-	}
-	return m
 }
 
 // Config returns the machine's (defaulted) configuration.

@@ -10,16 +10,26 @@ import (
 	"repro/internal/trace"
 )
 
-func testMachine(opts ...func(*Config)) *Machine {
+// mustNew is New for configurations a test knows are valid.
+func mustNew(t testing.TB, cfg Config) *Machine {
+	t.Helper()
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func testMachine(t testing.TB, opts ...func(*Config)) *Machine {
 	cfg := Config{Grid: geom.NewGrid(8, 8, 1.0), Tech: tech.N5()}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return New(cfg)
+	return mustNew(t, cfg)
 }
 
 func TestComputeAdvancesClockAndEnergy(t *testing.T) {
-	m := testMachine()
+	m := testMachine(t)
 	p := geom.Pt(1, 1)
 	end := m.Compute(p, tech.OpAdd, 32, "a")
 	if end != 200 {
@@ -46,8 +56,8 @@ func TestComputeAdvancesClockAndEnergy(t *testing.T) {
 }
 
 func TestCPUOverheadChargesPaperRatio(t *testing.T) {
-	lean := testMachine()
-	cpu := testMachine(func(c *Config) { c.CPUOverhead = true })
+	lean := testMachine(t)
+	cpu := testMachine(t, func(c *Config) { c.CPUOverhead = true })
 	lean.Compute(geom.Pt(0, 0), tech.OpAdd, 32, "")
 	cpu.Compute(geom.Pt(0, 0), tech.OpAdd, 32, "")
 	r := cpu.Metrics().TotalEnergy / lean.Metrics().TotalEnergy
@@ -61,7 +71,7 @@ func TestCPUOverheadChargesPaperRatio(t *testing.T) {
 }
 
 func TestSendAndWaitUntil(t *testing.T) {
-	m := testMachine()
+	m := testMachine(t)
 	src, dst := geom.Pt(0, 0), geom.Pt(1, 0)
 	m.Compute(src, tech.OpAdd, 32, "produce") // src busy until 200
 	arr := m.Send(src, dst, 1, "ship")
@@ -90,13 +100,15 @@ func TestTransport1mmCosts160xAdd(t *testing.T) {
 	// The paper's headline ratio, measured on the machine rather than
 	// computed from constants: perform an add, move the result one hop
 	// (1 mm pitch), compare energies.
-	m := testMachine(func(c *Config) {
+	m := testMachine(t, func(c *Config) {
 		// Make routers free so the measurement isolates the wire, as the
 		// paper's 160x is a pure wire-vs-adder comparison.
 		_ = c
 	})
-	net := noc.New(noc.Config{Grid: m.Config().Grid, Tech: m.Config().Tech, RouterEnergyPerBit: -1})
-	_ = net // router energy cannot be disabled via defaulting; use TransferCost minus router term
+	// router energy cannot be disabled via defaulting; use TransferCost minus router term
+	if _, err := noc.New(noc.Config{Grid: m.Config().Grid, Tech: m.Config().Tech, RouterEnergyPerBit: -1}); err != nil {
+		t.Fatal(err)
+	}
 
 	m.Compute(geom.Pt(0, 0), tech.OpAdd, 32, "add")
 	addE := m.Metrics().TotalEnergy
@@ -107,7 +119,7 @@ func TestTransport1mmCosts160xAdd(t *testing.T) {
 }
 
 func TestMemAccess(t *testing.T) {
-	m := testMachine()
+	m := testMachine(t)
 	p := geom.Pt(3, 3)
 	end := m.MemAccess(p, 4, "ld")
 	if end != m.Config().Tech.SRAMDelay {
@@ -124,7 +136,7 @@ func TestMemAccess(t *testing.T) {
 }
 
 func TestOffChipCostsDominates(t *testing.T) {
-	m := testMachine()
+	m := testMachine(t)
 	center := geom.Pt(4, 4)
 	m.OffChip(center, 1, "dram")
 	mt := m.Metrics()
@@ -140,7 +152,7 @@ func TestOffChipCostsDominates(t *testing.T) {
 }
 
 func TestOffChipEdgeDistance(t *testing.T) {
-	m := testMachine()
+	m := testMachine(t)
 	// A corner node is on the edge: pure off-chip cost, no extra wire.
 	eCorner, dCorner := m.OffChipCost(geom.Pt(0, 0), 1)
 	eCenter, dCenter := m.OffChipCost(geom.Pt(4, 4), 1)
@@ -157,7 +169,7 @@ func TestOffChipEdgeDistance(t *testing.T) {
 }
 
 func TestCostOraclesDoNotMutate(t *testing.T) {
-	m := testMachine()
+	m := testMachine(t)
 	m.OpCost(tech.OpMul, 32)
 	m.TransferCost(geom.Pt(0, 0), geom.Pt(5, 5), 4)
 	m.OffChipCost(geom.Pt(2, 2), 8)
@@ -168,7 +180,7 @@ func TestCostOraclesDoNotMutate(t *testing.T) {
 }
 
 func TestTransferCostSelfFree(t *testing.T) {
-	m := testMachine()
+	m := testMachine(t)
 	e, d := m.TransferCost(geom.Pt(1, 1), geom.Pt(1, 1), 100)
 	if e != 0 || d != 0 {
 		t.Errorf("self transfer = (%g, %g)", e, d)
@@ -176,7 +188,7 @@ func TestTransferCostSelfFree(t *testing.T) {
 }
 
 func TestTransferCostScalesWithDistance(t *testing.T) {
-	m := testMachine()
+	m := testMachine(t)
 	e1, d1 := m.TransferCost(geom.Pt(0, 0), geom.Pt(1, 0), 1)
 	e5, d5 := m.TransferCost(geom.Pt(0, 0), geom.Pt(5, 0), 1)
 	if math.Abs(e5-5*e1) > 1e-9 {
@@ -188,7 +200,7 @@ func TestTransferCostScalesWithDistance(t *testing.T) {
 }
 
 func TestMetricsIncludesInFlightMessages(t *testing.T) {
-	m := testMachine()
+	m := testMachine(t)
 	arr := m.Send(geom.Pt(0, 0), geom.Pt(7, 7), 1, "far")
 	if mt := m.Metrics(); mt.Makespan != arr {
 		t.Errorf("Makespan = %g, want in-flight arrival %g", mt.Makespan, arr)
@@ -197,7 +209,7 @@ func TestMetricsIncludesInFlightMessages(t *testing.T) {
 
 func TestTraceRecording(t *testing.T) {
 	tr := trace.New()
-	m := New(Config{Grid: geom.NewGrid(4, 4, 1), Tech: tech.N5(), Trace: tr})
+	m := mustNew(t, Config{Grid: geom.NewGrid(4, 4, 1), Tech: tech.N5(), Trace: tr})
 	m.Compute(geom.Pt(0, 0), tech.OpAdd, 32, "x")
 	m.Send(geom.Pt(0, 0), geom.Pt(1, 0), 1, "x")
 	m.MemAccess(geom.Pt(0, 0), 1, "x")
@@ -216,7 +228,7 @@ func TestTraceRecording(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	tr := trace.New()
-	m := New(Config{Grid: geom.NewGrid(4, 4, 1), Tech: tech.N5(), Trace: tr})
+	m := mustNew(t, Config{Grid: geom.NewGrid(4, 4, 1), Tech: tech.N5(), Trace: tr})
 	m.Compute(geom.Pt(0, 0), tech.OpAdd, 32, "")
 	m.Send(geom.Pt(0, 0), geom.Pt(1, 1), 1, "")
 	m.Reset()
@@ -233,7 +245,7 @@ func TestReset(t *testing.T) {
 }
 
 func TestDefaults(t *testing.T) {
-	m := New(Config{Grid: geom.NewGrid(2, 2, 1), Tech: tech.N5()})
+	m := mustNew(t, Config{Grid: geom.NewGrid(2, 2, 1), Tech: tech.N5()})
 	cfg := m.Config()
 	if cfg.WordBits != 32 || cfg.MemWordsPerNode != 16384 {
 		t.Errorf("defaults not applied: %+v", cfg)
@@ -241,12 +253,14 @@ func TestDefaults(t *testing.T) {
 }
 
 func TestPanics(t *testing.T) {
-	m := testMachine()
+	m := testMachine(t)
 	assertPanics(t, "bad mem words", func() { m.MemAccess(geom.Pt(0, 0), 0, "") })
 	assertPanics(t, "bad send words", func() { m.Send(geom.Pt(0, 0), geom.Pt(1, 0), -1, "") })
 	assertPanics(t, "bad offchip words", func() { m.OffChip(geom.Pt(0, 0), 0, "") })
 	assertPanics(t, "off-grid node", func() { m.Compute(geom.Pt(99, 0), tech.OpAdd, 32, "") })
-	assertPanics(t, "bad tech", func() { New(Config{Grid: geom.NewGrid(2, 2, 1)}) })
+	if _, err := New(Config{Grid: geom.NewGrid(2, 2, 1)}); err == nil {
+		t.Error("bad tech: New accepted a config without technology parameters")
+	}
 }
 
 func assertPanics(t *testing.T, name string, f func()) {

@@ -33,8 +33,8 @@ func drive(n *Network) {
 // render byte-identical heatmaps and identical utilization listings,
 // and re-rendering the same network must be stable.
 func TestLinkReportsDeterministic(t *testing.T) {
-	a := testNet(CutThrough)
-	b := testNet(CutThrough)
+	a := testNet(t, CutThrough)
+	b := testNet(t, CutThrough)
 	drive(a)
 	drive(b)
 
@@ -56,13 +56,13 @@ func TestLinkReportsDeterministic(t *testing.T) {
 	}
 }
 
-func TestNewCheckedRejectsBadMode(t *testing.T) {
-	_, err := NewChecked(Config{
+func TestNewRejectsBadMode(t *testing.T) {
+	_, err := New(Config{
 		Grid: geom.NewGrid(4, 4, 1.0),
 		Tech: tech.N5(),
 		Mode: Mode(99),
 	})
 	if err == nil {
-		t.Fatal("NewChecked accepted an unknown switching mode")
+		t.Fatal("New accepted an unknown switching mode")
 	}
 }

@@ -161,10 +161,10 @@ type Network struct {
 	obsEnergy     *obs.Gauge
 }
 
-// NewChecked returns a network over the configured grid, validating
+// New returns a network over the configured grid, validating
 // the technology parameters and switching mode up front so every later
 // method can assume a well-formed configuration.
-func NewChecked(cfg Config) (*Network, error) {
+func New(cfg Config) (*Network, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Tech.Validate(); err != nil {
 		return nil, fmt.Errorf("noc: %w", err)
@@ -185,17 +185,6 @@ func NewChecked(cfg Config) (*Network, error) {
 		n.obsEnergy = cfg.Obs.Gauge("noc.energy_fj")
 	}
 	return n, nil
-}
-
-// New is NewChecked for callers with statically known-good
-// configurations; it panics on the errors NewChecked would return.
-func New(cfg Config) *Network {
-	n, err := NewChecked(cfg)
-	if err != nil {
-		//lint:allow panic(documented convenience wrapper; NewChecked returns the error)
-		panic(err.Error())
-	}
-	return n
 }
 
 // stat returns the mutable stat record for a link, creating it on first
@@ -315,7 +304,7 @@ func (n *Network) UncontendedLatency(hops, bits int) float64 {
 	case StoreAndForward:
 		return float64(hops) * (per + ser)
 	default:
-		//lint:allow panic(unreachable: NewChecked validates Mode and Network fields are unexported)
+		//lint:allow panic(unreachable: New validates Mode and Network fields are unexported)
 		panic(fmt.Sprintf("noc: unknown mode %d", int(n.cfg.Mode)))
 	}
 }

@@ -9,8 +9,18 @@ import (
 	"repro/internal/trace"
 )
 
-func testNet(mode Mode) *Network {
-	return New(Config{
+// mustNew is New for configurations a test knows are valid.
+func mustNew(t testing.TB, cfg Config) *Network {
+	t.Helper()
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+func testNet(t testing.TB, mode Mode) *Network {
+	return mustNew(t, Config{
 		Grid: geom.NewGrid(8, 8, 1.0),
 		Tech: tech.N5(),
 		Mode: mode,
@@ -18,7 +28,7 @@ func testNet(mode Mode) *Network {
 }
 
 func TestRouteXY(t *testing.T) {
-	n := testNet(CutThrough)
+	n := testNet(t, CutThrough)
 	r := n.Route(geom.Pt(1, 1), geom.Pt(3, 2))
 	want := []geom.Point{geom.Pt(1, 1), geom.Pt(2, 1), geom.Pt(3, 1), geom.Pt(3, 2)}
 	if len(r) != len(want) {
@@ -49,8 +59,8 @@ func TestRouteXY(t *testing.T) {
 }
 
 func TestUncontendedLatencyModes(t *testing.T) {
-	ct := testNet(CutThrough)
-	sf := testNet(StoreAndForward)
+	ct := testNet(t, CutThrough)
+	sf := testNet(t, StoreAndForward)
 	per := ct.hopLatency() // 800 (wire/mm * 1mm pitch) + 100 (router)
 
 	// Single-flit message: both modes identical.
@@ -80,7 +90,7 @@ func TestUncontendedLatencyModes(t *testing.T) {
 }
 
 func TestMessageEnergyMatchesTech(t *testing.T) {
-	n := testNet(CutThrough)
+	n := testNet(t, CutThrough)
 	p := tech.N5()
 	// 3 hops x 1mm pitch of 32-bit wire + 3 hops of router switching.
 	want := p.WireEnergy(32, 3) + 8*32*3
@@ -90,7 +100,7 @@ func TestMessageEnergyMatchesTech(t *testing.T) {
 }
 
 func TestSendSelfIsFree(t *testing.T) {
-	n := testNet(CutThrough)
+	n := testNet(t, CutThrough)
 	arr, e := n.Send(100, geom.Pt(2, 2), geom.Pt(2, 2), 64)
 	if arr != 100 || e != 0 {
 		t.Errorf("self-send = (%g, %g)", arr, e)
@@ -102,7 +112,7 @@ func TestSendSelfIsFree(t *testing.T) {
 
 func TestSendUncontendedMatchesFormula(t *testing.T) {
 	for _, mode := range []Mode{CutThrough, StoreAndForward} {
-		n := testNet(mode)
+		n := testNet(t, mode)
 		src, dst := geom.Pt(0, 0), geom.Pt(3, 2)
 		arr, e := n.Send(50, src, dst, 96)
 		wantLat := n.UncontendedLatency(5, 96)
@@ -116,7 +126,7 @@ func TestSendUncontendedMatchesFormula(t *testing.T) {
 }
 
 func TestContentionSerializesSharedLink(t *testing.T) {
-	n := testNet(CutThrough)
+	n := testNet(t, CutThrough)
 	// Two messages injected at t=0 share link (0,0)->(1,0).
 	a1, _ := n.Send(0, geom.Pt(0, 0), geom.Pt(2, 0), 32)
 	a2, _ := n.Send(0, geom.Pt(0, 0), geom.Pt(3, 0), 32)
@@ -124,7 +134,7 @@ func TestContentionSerializesSharedLink(t *testing.T) {
 		t.Errorf("second message (%g) should be delayed past first (%g)", a2, a1)
 	}
 	// Disjoint routes do not interfere.
-	n2 := testNet(CutThrough)
+	n2 := testNet(t, CutThrough)
 	b1, _ := n2.Send(0, geom.Pt(0, 0), geom.Pt(1, 0), 32)
 	b2, _ := n2.Send(0, geom.Pt(0, 7), geom.Pt(1, 7), 32)
 	if b1 != b2 {
@@ -135,7 +145,7 @@ func TestContentionSerializesSharedLink(t *testing.T) {
 func TestContentionMonotoneInLoad(t *testing.T) {
 	// Arrival of the k-th message over one link is nondecreasing in k,
 	// and grows linearly once the link saturates.
-	n := testNet(CutThrough)
+	n := testNet(t, CutThrough)
 	var last float64
 	for k := 0; k < 10; k++ {
 		arr, _ := n.Send(0, geom.Pt(0, 0), geom.Pt(1, 0), 128)
@@ -152,7 +162,7 @@ func TestContentionMonotoneInLoad(t *testing.T) {
 }
 
 func TestStatsAndReset(t *testing.T) {
-	n := testNet(CutThrough)
+	n := testNet(t, CutThrough)
 	n.Send(0, geom.Pt(0, 0), geom.Pt(2, 0), 32) // 2 hops
 	n.Send(0, geom.Pt(0, 0), geom.Pt(1, 0), 32) // 1 hop, shares first link
 	s := n.Stats()
@@ -184,7 +194,7 @@ func TestStatsAndReset(t *testing.T) {
 
 func TestSendTraces(t *testing.T) {
 	tr := trace.New()
-	n := New(Config{Grid: geom.NewGrid(4, 4, 1), Tech: tech.N5(), Trace: tr})
+	n := mustNew(t, Config{Grid: geom.NewGrid(4, 4, 1), Tech: tech.N5(), Trace: tr})
 	n.Send(0, geom.Pt(0, 0), geom.Pt(3, 3), 32)
 	if tr.Len() != 1 {
 		t.Fatalf("trace len = %d", tr.Len())
@@ -196,7 +206,7 @@ func TestSendTraces(t *testing.T) {
 }
 
 func TestDefaults(t *testing.T) {
-	n := New(Config{Grid: geom.NewGrid(2, 2, 1), Tech: tech.N5()})
+	n := mustNew(t, Config{Grid: geom.NewGrid(2, 2, 1), Tech: tech.N5()})
 	cfg := n.Config()
 	if cfg.LinkWidthBits != 32 || cfg.RouterDelayPS != 100 || cfg.RouterEnergyPerBit != 8 {
 		t.Errorf("defaults not applied: %+v", cfg)
@@ -204,12 +214,14 @@ func TestDefaults(t *testing.T) {
 }
 
 func TestPanics(t *testing.T) {
-	n := testNet(CutThrough)
+	n := testNet(t, CutThrough)
 	assertPanics(t, "off-grid src", func() { n.Send(0, geom.Pt(-1, 0), geom.Pt(0, 0), 32) })
 	assertPanics(t, "off-grid dst", func() { n.Send(0, geom.Pt(0, 0), geom.Pt(8, 0), 32) })
 	assertPanics(t, "zero bits", func() { n.Send(0, geom.Pt(0, 0), geom.Pt(1, 0), 0) })
 	assertPanics(t, "negative time", func() { n.Send(-1, geom.Pt(0, 0), geom.Pt(1, 0), 32) })
-	assertPanics(t, "bad tech", func() { New(Config{Grid: geom.NewGrid(2, 2, 1)}) })
+	if _, err := New(Config{Grid: geom.NewGrid(2, 2, 1)}); err == nil {
+		t.Error("bad tech: New accepted a config without technology parameters")
+	}
 }
 
 func TestModeString(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 )
 
 func TestLinkUtilizationCountsTrafficAndQueuing(t *testing.T) {
-	n := testNet(CutThrough)
+	n := testNet(t, CutThrough)
 	// Two messages at t=0 share the (0,0)->(1,0) link: the second queues.
 	n.Send(0, geom.Pt(0, 0), geom.Pt(2, 0), 32)
 	n.Send(0, geom.Pt(0, 0), geom.Pt(3, 0), 32)
@@ -51,7 +51,7 @@ func TestLinkUtilizationCountsTrafficAndQueuing(t *testing.T) {
 
 func TestLinkHeatmapDeterministicAndShaped(t *testing.T) {
 	render := func() string {
-		n := testNet(CutThrough)
+		n := testNet(t, CutThrough)
 		n.Send(0, geom.Pt(0, 0), geom.Pt(7, 0), 64)
 		n.Send(100, geom.Pt(0, 0), geom.Pt(2, 0), 32)
 		n.Send(200, geom.Pt(3, 3), geom.Pt(3, 5), 32)
@@ -78,14 +78,14 @@ func TestLinkHeatmapDeterministicAndShaped(t *testing.T) {
 }
 
 func TestLinkHeatmapEmpty(t *testing.T) {
-	n := testNet(CutThrough)
+	n := testNet(t, CutThrough)
 	if got := n.RenderLinkHeatmap(); got != "(no link traffic)\n" {
 		t.Fatalf("empty network heatmap = %q", got)
 	}
 }
 
 func TestLinkHeatmapTorusWrapListed(t *testing.T) {
-	n := New(Config{
+	n := mustNew(t, Config{
 		Grid:     geom.NewGrid(4, 4, 1.0),
 		Tech:     tech.N5(),
 		Topology: Torus,
@@ -100,7 +100,7 @@ func TestLinkHeatmapTorusWrapListed(t *testing.T) {
 
 func TestNocObsMatchesStats(t *testing.T) {
 	r := obs.New()
-	n := New(Config{
+	n := mustNew(t, Config{
 		Grid: geom.NewGrid(8, 8, 1.0),
 		Tech: tech.N5(),
 		Obs:  r,
@@ -130,7 +130,7 @@ func TestNocObsMatchesStats(t *testing.T) {
 
 func TestObsDoesNotChangeArrivals(t *testing.T) {
 	run := func(r *obs.Registry) (float64, float64) {
-		n := New(Config{
+		n := mustNew(t, Config{
 			Grid: geom.NewGrid(8, 8, 1.0),
 			Tech: tech.N5(),
 			Obs:  r,

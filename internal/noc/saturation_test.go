@@ -15,7 +15,7 @@ import (
 // returns the mean latency.
 func offeredLoad(t *testing.T, mode Mode, msgs int, gap float64, seed int64) float64 {
 	t.Helper()
-	n := New(Config{Grid: geom.NewGrid(8, 8, 1.0), Tech: tech.N5(), Mode: mode})
+	n := mustNew(t, Config{Grid: geom.NewGrid(8, 8, 1.0), Tech: tech.N5(), Mode: mode})
 	rng := rand.New(rand.NewSource(seed))
 	type msg struct {
 		t0       float64
@@ -60,7 +60,7 @@ func TestLatencyLoadCurve(t *testing.T) {
 	}
 	// Light load approaches the uncontended average: mean hop distance on
 	// an 8x8 mesh is ~5.3 hops of ~900 ps plus 3 extra flit cycles.
-	n := New(Config{Grid: geom.NewGrid(8, 8, 1.0), Tech: tech.N5()})
+	n := mustNew(t, Config{Grid: geom.NewGrid(8, 8, 1.0), Tech: tech.N5()})
 	uncontended := n.UncontendedLatency(5, 128)
 	if light > 2*uncontended {
 		t.Errorf("light-load latency %.0f ps far above uncontended %.0f ps", light, uncontended)

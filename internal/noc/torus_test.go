@@ -7,12 +7,12 @@ import (
 	"repro/internal/tech"
 )
 
-func torusNet() *Network {
-	return New(Config{Grid: geom.NewGrid(8, 8, 1.0), Tech: tech.N5(), Topology: Torus})
+func torusNet(t testing.TB) *Network {
+	return mustNew(t, Config{Grid: geom.NewGrid(8, 8, 1.0), Tech: tech.N5(), Topology: Torus})
 }
 
 func TestTorusRouteTakesWrapLink(t *testing.T) {
-	n := torusNet()
+	n := torusNet(t)
 	// (0,0) -> (7,0): one hop backwards over the wrap, not 7 forward.
 	r := n.Route(geom.Pt(0, 0), geom.Pt(7, 0))
 	if len(r) != 2 {
@@ -39,8 +39,8 @@ func TestTorusRouteTakesWrapLink(t *testing.T) {
 }
 
 func TestTorusDistanceNeverExceedsMesh(t *testing.T) {
-	tor := torusNet()
-	mesh := New(Config{Grid: geom.NewGrid(8, 8, 1.0), Tech: tech.N5()})
+	tor := torusNet(t)
+	mesh := mustNew(t, Config{Grid: geom.NewGrid(8, 8, 1.0), Tech: tech.N5()})
 	improved := 0
 	for a := 0; a < 64; a++ {
 		for b := 0; b < 64; b++ {
@@ -64,8 +64,8 @@ func TestTorusDistanceNeverExceedsMesh(t *testing.T) {
 }
 
 func TestTorusAverageDistanceBeatsMesh(t *testing.T) {
-	tor := torusNet()
-	mesh := New(Config{Grid: geom.NewGrid(8, 8, 1.0), Tech: tech.N5()})
+	tor := torusNet(t)
+	mesh := mustNew(t, Config{Grid: geom.NewGrid(8, 8, 1.0), Tech: tech.N5()})
 	var st, sm int
 	for a := 0; a < 64; a++ {
 		for b := 0; b < 64; b++ {
@@ -82,7 +82,7 @@ func TestTorusAverageDistanceBeatsMesh(t *testing.T) {
 }
 
 func TestTorusSendMatchesRoute(t *testing.T) {
-	n := torusNet()
+	n := torusNet(t)
 	arr, e := n.Send(0, geom.Pt(0, 3), geom.Pt(7, 3), 32)
 	if want := n.UncontendedLatency(1, 32); arr != want {
 		t.Errorf("wrap send latency = %g, want %g", arr, want)

@@ -8,7 +8,7 @@
 //
 //   - Determinism. Trace and span IDs derive from a per-server seed and
 //     an admission sequence number, never from the wall clock or global
-//     rand; timestamps are read only through the Clock seam. Two
+//     rand; timestamps are read only through the internal/clock seam. Two
 //     same-seed drills against a frozen clock export byte-identical
 //     traces, so a trace diff is a regression test, not a screenshot.
 //   - Exact sums. A request trace is a partition of its lifetime into
@@ -30,14 +30,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-)
 
-// Clock supplies timestamps. serve.Clock satisfies it structurally, so
-// the server's one wall-clock seam (or its FakeClock) feeds the tracer
-// too — no second source of time exists.
-type Clock interface {
-	Now() time.Time
-}
+	"repro/internal/clock"
+	"repro/internal/splitmix"
+)
 
 // Options configures a Tracer. The zero value of every field except
 // Clock selects a sensible default.
@@ -49,8 +45,9 @@ type Options struct {
 	// ExemplarK pins the K slowest traces per route against eviction.
 	// Default 4; 0 disables exemplar retention.
 	ExemplarK int
-	// Clock supplies timestamps; required.
-	Clock Clock
+	// Clock supplies timestamps; required. Pass the server's clock so
+	// request spans and latency metrics read the same time.
+	Clock clock.Clock
 	// OnExemplar, when non-nil, is called (synchronously, on the
 	// finishing goroutine) each time a completed trace first becomes a
 	// slow-request exemplar — the hook mapd uses to emit a log line
@@ -64,7 +61,7 @@ type Options struct {
 // no-op.
 type Tracer struct {
 	seed       uint64
-	clock      Clock
+	clock      clock.Clock
 	buf        *buffer
 	onExemplar func(Record)
 	seq        atomic.Uint64
@@ -75,7 +72,7 @@ type Tracer struct {
 // determinism contract).
 func New(opts Options) *Tracer {
 	if opts.Clock == nil {
-		//lint:allow panic(constructor argument contract: a tracer without a clock seam cannot honor determinism; callers pass the serve Clock)
+		//lint:allow panic(constructor argument contract: a tracer without a clock seam cannot honor determinism; callers pass the server's clock)
 		panic("tracing: Options.Clock is required")
 	}
 	if opts.Capacity <= 0 {
@@ -127,7 +124,7 @@ func (t *Tracer) start(route, first string) *Request {
 	r := &Request{
 		t:       t,
 		seq:     seq,
-		traceID: mix(t.seed ^ mix(seq)),
+		traceID: idMix(t.seed ^ idMix(seq)),
 		route:   route,
 		start:   now,
 	}
@@ -305,7 +302,7 @@ func (r *Request) buildRecordLocked(end time.Time) *Record {
 			stop = r.stages[i+1].start
 		}
 		rec.Stages[i] = StageRecord{
-			SpanID:     formatID(mix(r.traceID ^ uint64(i+1))),
+			SpanID:     formatID(idMix(r.traceID ^ uint64(i+1))),
 			Name:       st.name,
 			OffsetNS:   st.start.Sub(r.start).Nanoseconds(),
 			DurationNS: stop.Sub(st.start).Nanoseconds(),
@@ -314,14 +311,12 @@ func (r *Request) buildRecordLocked(end time.Time) *Record {
 	return rec
 }
 
-// mix is the splitmix64 finalizer: a cheap, well-distributed hash from
-// (seed, sequence number) to trace identity. Purely arithmetic — no
-// clock, no rand — so same seed + same admission order means same IDs.
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+// idMix is one splitmix64 step (golden-ratio increment, then the
+// finalizer): a cheap, well-distributed hash from (seed, sequence
+// number) to trace identity. Purely arithmetic — no clock, no rand — so
+// same seed + same admission order means same IDs.
+func idMix(x uint64) uint64 {
+	return splitmix.Mix(x + 0x9e3779b97f4a7c15)
 }
 
 func formatID(id uint64) string {

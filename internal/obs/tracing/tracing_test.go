@@ -4,33 +4,16 @@ import (
 	"bytes"
 	"context"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/obs/tracing"
 )
 
-// fakeClock is a manually advanced Clock; the tracing package owns no
-// time source, so tests inject one the same way serve does.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(0, 0)} }
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
+// newFakeClock returns a clock frozen at the epoch; the tracing package
+// owns no time source, so tests inject one the same way serve does.
+func newFakeClock() *clock.Fake { return clock.NewFake(time.Unix(0, 0)) }
 
 // TestExactStageSums pins the core contract: stage durations telescope
 // to the request span exactly, in integer nanoseconds, with contiguous
@@ -39,12 +22,12 @@ func TestExactStageSums(t *testing.T) {
 	clk := newFakeClock()
 	tr := tracing.New(tracing.Options{Seed: 1, Clock: clk})
 	_, rt := tr.StartRequest(context.Background(), "/r", "decode")
-	clk.advance(7 * time.Nanosecond)
+	clk.Advance(7 * time.Nanosecond)
 	rt.Stage("admission")
-	clk.advance(11 * time.Nanosecond)
+	clk.Advance(11 * time.Nanosecond)
 	rt.Mark("barrier")
 	rt.Stage("eval")
-	clk.advance(13 * time.Nanosecond)
+	clk.Advance(13 * time.Nanosecond)
 	rt.Finish()
 
 	ex := tr.Export()
@@ -161,9 +144,9 @@ func TestFinishIdempotent(t *testing.T) {
 	clk := newFakeClock()
 	tr := tracing.New(tracing.Options{Seed: 1, Clock: clk})
 	_, rt := tr.StartRequest(context.Background(), "/r", "s")
-	clk.advance(5 * time.Nanosecond)
+	clk.Advance(5 * time.Nanosecond)
 	rt.Finish()
-	clk.advance(100 * time.Nanosecond)
+	clk.Advance(100 * time.Nanosecond)
 	rt.Finish()
 	rt.Stage("late")
 	rt.Annotate("late", "true")
@@ -190,7 +173,7 @@ func TestRingEvictsOldestNonExemplar(t *testing.T) {
 	})
 	finish := func(d time.Duration) string {
 		rt := tr.StartDetached("/r", "s")
-		clk.advance(d)
+		clk.Advance(d)
 		rt.Finish()
 		return rt.TraceID()
 	}
@@ -232,7 +215,7 @@ func TestRingForceEvictsWhenAllPinned(t *testing.T) {
 	var ids []string
 	for i := 0; i < 3; i++ {
 		rt := tr.StartDetached("/r", "s")
-		clk.advance(time.Duration(i+1) * time.Nanosecond)
+		clk.Advance(time.Duration(i+1) * time.Nanosecond)
 		rt.Finish()
 		ids = append(ids, rt.TraceID())
 	}
@@ -274,10 +257,10 @@ func TestHandlerMarshalTwiceIdentical(t *testing.T) {
 		_, rt := tr.StartRequest(context.Background(), "/r", "decode")
 		rt.Annotate("b", "2")
 		rt.Annotate("a", "1")
-		clk.advance(3 * time.Nanosecond)
+		clk.Advance(3 * time.Nanosecond)
 		rt.Stage("eval")
 		rt.Mark("m")
-		clk.advance(2 * time.Nanosecond)
+		clk.Advance(2 * time.Nanosecond)
 		rt.Finish()
 	}
 	scrape := func() []byte {

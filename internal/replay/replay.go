@@ -28,14 +28,14 @@ import (
 // MachineFor builds a machine whose cost constants match the target, so
 // a fault-free replay agrees with fm's analytic pricing of the same
 // mapping. faults and tr may be nil.
-func MachineFor(tgt fm.Target, faults *fault.Injector, tr *trace.Trace) *machine.Machine {
+func MachineFor(tgt fm.Target, faults *fault.Injector, tr *trace.Trace) (*machine.Machine, error) {
 	return ObservedMachineFor(tgt, faults, tr, nil)
 }
 
 // ObservedMachineFor is MachineFor with a metrics registry attached: the
 // machine, its NoC, and the fault injector (if any) all publish into r.
 // A nil r is exactly MachineFor — observability never changes the replay.
-func ObservedMachineFor(tgt fm.Target, faults *fault.Injector, tr *trace.Trace, r *obs.Registry) *machine.Machine {
+func ObservedMachineFor(tgt fm.Target, faults *fault.Injector, tr *trace.Trace, r *obs.Registry) (*machine.Machine, error) {
 	tgt = tgt.WithDefaults()
 	faults.Instrument(r)
 	return machine.New(machine.Config{

@@ -26,8 +26,14 @@ func dpMapping(t *testing.T, n, p int) (*fm.Graph, fm.Schedule, fm.Target) {
 	}
 	tgt := fm.DefaultTarget(p, 1)
 	tgt.MemWordsPerNode = 1 << 20
-	stride := fm.MinAntiDiagonalStride(tgt, tech.OpAdd, 32, n, p)
-	sched := fm.AntiDiagonalSchedule(dom, p, stride, geom.Pt(0, 0))
+	stride, err := fm.MinAntiDiagonalStrideChecked(tgt, tech.OpAdd, 32, n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := fm.AntiDiagonalScheduleChecked(dom, p, stride, geom.Pt(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := fm.Check(g, sched, tgt); err != nil {
 		t.Fatalf("fixture mapping illegal: %v", err)
 	}
@@ -39,7 +45,10 @@ func dpMapping(t *testing.T, n, p int) (*fm.Graph, fm.Schedule, fm.Target) {
 func run(t *testing.T, g *fm.Graph, sched fm.Schedule, tgt fm.Target, in *fault.Injector) ([]trace.Event, float64) {
 	t.Helper()
 	tr := trace.New()
-	m := MachineFor(tgt, in, tr)
+	m, err := MachineFor(tgt, in, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	metrics, err := Run(g, sched, tgt, m)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -134,7 +143,10 @@ func TestResetReplaysFaultSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := trace.New()
-	m := MachineFor(tgt, in, tr)
+	m, err := MachineFor(tgt, in, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Run(g, sched, tgt, m); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +162,10 @@ func TestResetReplaysFaultSchedule(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	g, sched, tgt := dpMapping(t, 6, 4)
-	m := MachineFor(tgt, nil, nil)
+	m, err := MachineFor(tgt, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Run(g, sched[:len(sched)-1], tgt, m); err == nil {
 		t.Error("short schedule accepted")
 	}

@@ -46,6 +46,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/fm/search"
 	"repro/internal/obs"
 	"repro/internal/obs/tracing"
@@ -137,7 +138,7 @@ type Config struct {
 	// best when it beats the fresh result. Nil disables persistence.
 	Store *store.Store
 	// Clock supplies time. Default SystemClock.
-	Clock Clock
+	Clock clock.Clock
 	// Obs receives service metrics under "serve.*" plus the eval cache's
 	// "search.evalcache.*" gauges. Nil disables instrumentation at zero
 	// cost.
@@ -150,6 +151,9 @@ type Config struct {
 	// tracing at zero cost.
 	Tracer *tracing.Tracer
 }
+
+// SystemClock is the real wall clock, the default Config.Clock.
+type SystemClock = clock.System
 
 func (c Config) withDefaults() Config {
 	if c.PoolWorkers <= 0 {
@@ -189,7 +193,7 @@ func (c Config) withDefaults() Config {
 // Handler on any http.Server, and stop with Drain then Close.
 type Server struct {
 	cfg    Config
-	clock  Clock
+	clock  clock.Clock
 	reg    *obs.Registry
 	tracer *tracing.Tracer
 

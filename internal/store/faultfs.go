@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"repro/internal/splitmix"
 )
 
 // ErrCrashed is returned by every FaultFS operation after the injected
@@ -102,7 +104,7 @@ func NewFaultFS(inner FS, cfg FaultConfig) (*FaultFS, error) {
 	return &FaultFS{
 		inner: inner,
 		cfg:   cfg,
-		seed:  mix64(uint64(cfg.Seed) ^ 0x57a7e_fa017_f5),
+		seed:  splitmix.Mix(uint64(cfg.Seed) ^ 0x57a7e_fa017_f5),
 	}, nil
 }
 
@@ -111,23 +113,6 @@ func (f *FaultFS) Stats() FaultStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.stats
-}
-
-// mix64 is the splitmix64 finalizer: a bijective avalanche over uint64.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// draw returns a uniform float64 in [0, 1) and a raw hash for the
-// given (kind, op) coordinate — the injector's entire randomness.
-func (f *FaultFS) draw(kind uint64, op int64) (float64, uint64) {
-	h := mix64(f.seed ^ mix64(kind*0x9e3779b97f4a7c15+uint64(op)))
-	return float64(h>>11) / float64(1<<53), h
 }
 
 // step advances the mutating-op counter and reports whether this
@@ -249,7 +234,7 @@ func (f *FaultFS) SyncDir(dir string) error {
 		f.mu.Unlock()
 		return ErrCrashed
 	}
-	if p, _ := f.draw(opSync, op); p < f.cfg.SyncErrRate {
+	if p, _ := splitmix.Draw(f.seed, uint64(op), opSync); p < f.cfg.SyncErrRate {
 		f.stats.SyncErrs++
 		f.mu.Unlock()
 		return fmt.Errorf("store: dir sync: %w", errInjected)
@@ -291,7 +276,7 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 	}
 	if crashNow {
 		// Land a deterministic prefix, then die.
-		_, h := f.draw(opWrite, op)
+		_, h := splitmix.Draw(f.seed, uint64(op), opWrite)
 		n := 0
 		if len(p) > 0 {
 			n = int(h % uint64(len(p)))
@@ -302,7 +287,7 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 		f.mu.Unlock()
 		return n, ErrCrashed
 	}
-	pShort, hShort := f.draw(opWrite, op)
+	pShort, hShort := splitmix.Draw(f.seed, uint64(op), opWrite)
 	if pShort < f.cfg.ShortWriteRate && len(p) > 0 {
 		n := int(hShort % uint64(len(p)))
 		f.stats.ShortWrites++
@@ -314,7 +299,7 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 		}
 		return n, fmt.Errorf("store: short write %d/%d: %w", n, len(p), errInjected)
 	}
-	pFlip, hFlip := f.draw(opWrite, ^op)
+	pFlip, hFlip := splitmix.Draw(f.seed, uint64(^op), opWrite)
 	if pFlip < f.cfg.FlipRate && len(p) > 0 {
 		q := make([]byte, len(p))
 		copy(q, p)
@@ -342,7 +327,7 @@ func (ff *faultFile) Sync() error {
 		f.mu.Unlock()
 		return ErrCrashed
 	}
-	if p, _ := f.draw(opSync, op); p < f.cfg.SyncErrRate {
+	if p, _ := splitmix.Draw(f.seed, uint64(op), opSync); p < f.cfg.SyncErrRate {
 		f.stats.SyncErrs++
 		f.mu.Unlock()
 		return fmt.Errorf("store: sync: %w", errInjected)

@@ -568,12 +568,24 @@ func (s *Store) applyEntryLocked(e *Entry) {
 // (false, err) when the append could not be made durable — the caller
 // keeps serving, the store repairs what it can, and the entry is NOT
 // indexed: the in-memory index never claims more than the disk holds.
+//
+// A re-put costs one index probe: the entry is encoded only on a miss,
+// outside the lock, and the index is probed again before the append so
+// two concurrent Puts of the same new mapping still write one record.
 func (s *Store) Put(gfp uint64, tgt fm.Target, sched fm.Schedule, cost fm.Cost) (bool, error) {
+	key := evalIdxKey{gfp, sched.Fingerprint(), targetFP(tgt)}
+	s.mu.Lock()
+	stored, err := s.probeLocked(key)
+	s.mu.Unlock()
+	if stored || err != nil {
+		return false, err
+	}
+
 	e := &Entry{
-		Graph:    gfp,
-		TargetFP: targetFP(tgt),
+		Graph:    key.graph,
+		TargetFP: key.target,
 		Target:   tgt,
-		SchedFP:  sched.Fingerprint(),
+		SchedFP:  key.sched,
 		Sched:    sched,
 		Cost:     cost,
 	}
@@ -585,12 +597,8 @@ func (s *Store) Put(gfp uint64, tgt fm.Target, sched fm.Schedule, cost fm.Cost) 
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.broken != nil {
-		return false, fmt.Errorf("%w: %w", ErrBroken, s.broken)
-	}
-	if _, ok := s.evals[evalIdxKey{e.Graph, e.SchedFP, e.TargetFP}]; ok {
-		s.mDedup.Inc()
-		return false, nil
+	if stored, err := s.probeLocked(key); stored || err != nil {
+		return false, err
 	}
 	if _, err := s.active.Write(frame); err != nil {
 		s.mAppendErrs.Inc()
@@ -615,6 +623,20 @@ func (s *Store) Put(gfp uint64, tgt fm.Target, sched fm.Schedule, cost fm.Cost) 
 	}
 	s.publishGaugesLocked()
 	return true, nil
+}
+
+// probeLocked reports whether the mapping under key is already stored,
+// counting the dedup, or fails fast when the append path is broken.
+// Callers hold s.mu.
+func (s *Store) probeLocked(key evalIdxKey) (bool, error) {
+	if s.broken != nil {
+		return false, fmt.Errorf("%w: %w", ErrBroken, s.broken)
+	}
+	if _, ok := s.evals[key]; ok {
+		s.mDedup.Inc()
+		return true, nil
+	}
+	return false, nil
 }
 
 // repairLocked restores the append invariant after a failed write or sync:

@@ -6,12 +6,16 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/fm"
 	"repro/internal/fm/search"
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/tech"
 )
 
@@ -339,6 +343,104 @@ func TestMissingSegmentReportedUnhealthy(t *testing.T) {
 	}
 	if rep.Records == 0 || rep.Records >= len(ents) {
 		t.Fatalf("recovered %d records, want a strict non-empty subset of %d", rep.Records, len(ents))
+	}
+}
+
+// TestPutDedupSkipsEncode: re-putting a stored mapping costs an index
+// probe, not a re-encode of its schedule. On a 2000-node schedule the
+// duplicate Put allocates fewer objects than the first Put and under a
+// tenth of the record's bytes, and still counts the dedup. The bytes
+// are the discriminating measure: JSON encoding grows one buffer, so
+// its object count barely depends on the schedule's size, and under
+// the race detector sync.Pool misses add a few objects to both sides.
+func TestPutDedupSkipsEncode(t *testing.T) {
+	g := testGraph(1, 2000)
+	tgt := fm.DefaultTarget(4, 4)
+	var ents []priced
+	for i := 0; i < 5; i++ { // AllocsPerRun(4) calls its function 5 times
+		sched := fm.SerialSchedule(g, tgt, geom.Pt(i%4, i/4))
+		cost, err := fm.Evaluate(g, sched, tgt, fm.EvalOptions{})
+		if err != nil {
+			t.Fatalf("evaluate: %v", err)
+		}
+		ents = append(ents, priced{g: g, gfp: g.Fingerprint(), tgt: tgt, sched: sched, cost: cost})
+	}
+	reg := obs.New()
+	s, err := Open(nosyncFS{}, t.TempDir(), Options{Obs: reg})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer s.Close()
+
+	next := 0
+	firstAllocs := testing.AllocsPerRun(4, func() {
+		e := ents[next]
+		next++
+		if added, err := s.Put(e.gfp, e.tgt, e.sched, e.cost); !added || err != nil {
+			t.Fatalf("first put: added=%v err=%v", added, err)
+		}
+	})
+	e := ents[0]
+	putDup := func() {
+		if added, err := s.Put(e.gfp, e.tgt, e.sched, e.cost); added || err != nil {
+			t.Fatalf("duplicate put: added=%v err=%v", added, err)
+		}
+	}
+	if dupAllocs := testing.AllocsPerRun(100, putDup); dupAllocs >= firstAllocs {
+		t.Fatalf("duplicate Put allocates %v objects, first Put %v: want fewer", dupAllocs, firstAllocs)
+	}
+	const dupRuns = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < dupRuns; i++ {
+		putDup()
+	}
+	runtime.ReadMemStats(&after)
+	payload, err := encodeEntry(&Entry{Graph: e.gfp, Target: e.tgt, Sched: e.sched, Cost: e.cost})
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if b := (after.TotalAlloc - before.TotalAlloc) / dupRuns; b*10 > uint64(len(payload)) {
+		t.Fatalf("duplicate Put allocates %d bytes for a %d-byte record: want under a tenth", b, len(payload))
+	}
+	if got := reg.Snapshot().Counters["store.dedup_skips"]; got != 101+dupRuns {
+		t.Fatalf("store.dedup_skips = %d, want %d", got, 101+dupRuns)
+	}
+}
+
+// TestConcurrentPutSameEntryAppendsOnce: Puts racing on one new mapping
+// all miss the first probe and encode, but the probe repeated under the
+// lock lets exactly one append.
+func TestConcurrentPutSameEntryAppendsOnce(t *testing.T) {
+	reg := obs.New()
+	s, err := Open(nosyncFS{}, t.TempDir(), Options{Obs: reg})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer s.Close()
+	e := testEntries(t, 3, 1)[0]
+	const n = 8
+	var wg sync.WaitGroup
+	var added atomic.Int64
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ok, err := s.Put(e.gfp, e.tgt, e.sched, e.cost)
+			if err != nil {
+				t.Errorf("put: %v", err)
+			}
+			if ok {
+				added.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if added.Load() != 1 || s.Len() != 1 {
+		t.Fatalf("%d of %d racing Puts appended, store holds %d; want exactly 1", added.Load(), n, s.Len())
+	}
+	if got := reg.Snapshot().Counters["store.dedup_skips"]; got != n-1 {
+		t.Fatalf("store.dedup_skips = %d, want %d", got, n-1)
 	}
 }
 

@@ -112,11 +112,20 @@ func TestCriticalPathAntiDiagonalReplay(t *testing.T) {
 	}
 	tgt := fm.DefaultTarget(p, 1)
 	tgt.MemWordsPerNode = 1 << 20
-	stride := fm.MinAntiDiagonalStride(tgt, tech.OpAdd, 32, n, p)
-	sched := fm.AntiDiagonalSchedule(dom, p, stride, geom.Pt(0, 0))
+	stride, err := fm.MinAntiDiagonalStrideChecked(tgt, tech.OpAdd, 32, n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := fm.AntiDiagonalScheduleChecked(dom, p, stride, geom.Pt(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	tr := trace.New()
-	m := replay.MachineFor(tgt, nil, tr)
+	m, err := replay.MachineFor(tgt, nil, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	metrics, err := replay.Run(g, sched, tgt, m)
 	if err != nil {
 		t.Fatal(err)

@@ -32,15 +32,24 @@ func faultedTrace(t *testing.T) (*trace.Trace, geom.Grid) {
 	}
 	tgt := fm.DefaultTarget(p, 1)
 	tgt.MemWordsPerNode = 1 << 20
-	stride := fm.MinAntiDiagonalStride(tgt, tech.OpAdd, 32, n, p)
-	sched := fm.AntiDiagonalSchedule(dom, p, stride, geom.Pt(0, 0))
+	stride, err := fm.MinAntiDiagonalStrideChecked(tgt, tech.OpAdd, 32, n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := fm.AntiDiagonalScheduleChecked(dom, p, stride, geom.Pt(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	inj, err := fault.New(fault.Config{Seed: 7, Rate: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := trace.New()
-	m := replay.MachineFor(tgt, inj, tr)
+	m, err := replay.MachineFor(tgt, inj, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := replay.Run(g, sched, tgt, m); err != nil {
 		t.Fatal(err)
 	}

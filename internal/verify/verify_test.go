@@ -260,8 +260,14 @@ func TestRefineAntiDiagonal(t *testing.T) {
 	}
 	tgt := fm.DefaultTarget(4, 1)
 	tgt.MemWordsPerNode = 1 << 20
-	stride := fm.MinAntiDiagonalStride(tgt, tech.OpAdd, 32, 16, 4)
-	sched := fm.AntiDiagonalSchedule(dom, 4, stride, geom.Pt(0, 0))
+	stride, err := fm.MinAntiDiagonalStrideChecked(tgt, tech.OpAdd, 32, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := fm.AntiDiagonalScheduleChecked(dom, 4, stride, geom.Pt(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	res := Refine(g, sched, tgt)
 	if !res.OK() {
 		t.Fatalf("anti-diagonal mapping failed refinement: %d violations", len(res.Violations))

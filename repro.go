@@ -93,12 +93,12 @@ var (
 	Pt = geom.Pt
 	// Experiments returns the full paper-reproduction suite (E1..E18).
 	Experiments = experiments.All
-	// ASAPSchedule / ALAPSchedule derive earliest/latest start times for a
-	// fixed placement; Slack is their difference (the critical path has
-	// none).
-	ASAPSchedule = fm.ASAPSchedule
-	ALAPSchedule = fm.ALAPSchedule
-	Slack        = fm.Slack
+	// ASAPSchedule / ALAPScheduleChecked derive earliest/latest start
+	// times for a fixed placement; Slack is their difference (the
+	// critical path has none).
+	ASAPSchedule        = fm.ASAPSchedule
+	ALAPScheduleChecked = fm.ALAPScheduleChecked
+	Slack               = fm.Slack
 	// Recompute applies the paper's compute-at-multiple-points rule.
 	Recompute = fm.Recompute
 	// TrafficFrom attributes a mapping's bit-hops to chosen producers.

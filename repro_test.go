@@ -50,7 +50,10 @@ func TestFacadeQuickstart(t *testing.T) {
 
 // TestFacadeMachine drives the re-exported machine simulator.
 func TestFacadeMachine(t *testing.T) {
-	m := NewMachine(MachineConfig{Grid: geom.NewGrid(4, 4, 1.0), Tech: N5()})
+	m, err := NewMachine(MachineConfig{Grid: geom.NewGrid(4, 4, 1.0), Tech: N5()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	m.Compute(Pt(0, 0), tech.OpAdd, 32, "x")
 	if m.Metrics().Ops != 1 {
 		t.Error("machine facade broken")
